@@ -61,36 +61,57 @@ impl PartialOrd for Event {
     }
 }
 
+/// What a memory request is for, and who waits on it.
 #[derive(Clone, Copy, Debug)]
-struct PendingMem {
-    thread: usize,
-    /// Node the MC responds to (requester for private, home bank for
-    /// shared).
-    responder: NodeId,
-    /// Shared-L2 only: the requester the home bank forwards to.
-    final_dst: Option<NodeId>,
-    mc: usize,
-    l2_line: u64,
+enum Purpose {
+    /// A demand miss: its requester resumes when the reply arrives.
+    Demand(Waiter),
     /// A dirty-eviction writeback: fire-and-forget, no response, no
     /// thread to resume.
-    writeback: bool,
-    /// A speculative prefetch: installs into the responder slice on
-    /// completion, resumes any late-joined demands, and is dropped (never
-    /// retried) on a transient error.
-    prefetch: bool,
-    /// Observability tag of the request this memory access serves
-    /// ([`ReqTag::NONE`] for writebacks and untraced runs).
+    Writeback,
+    /// A speculative prefetch: installs into its slice on completion,
+    /// resumes any late-joined demands, and is dropped (never retried) on
+    /// a transient error.
+    Prefetch,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct PendingMem {
+    /// The L2 slice that issued the request; replies return to it.
+    slice: NodeId,
+    mc: usize,
+    l2_line: u64,
+    purpose: Purpose,
+}
+
+/// A thread waiting for a line: from its own memory request, or from an
+/// in-flight prefetch it joined late.
+#[derive(Clone, Copy, Debug)]
+struct Waiter {
+    thread: usize,
+    /// Shared-L2 only: the requester the home bank forwards the line to.
+    forward: Option<NodeId>,
+    /// Observability tag of the demand's request span ([`ReqTag::NONE`]
+    /// in untraced runs).
     req: ReqTag,
 }
 
-/// A demand miss that found its line already in flight as a prefetch: the
-/// thread resumes (and its request span closes) when that prefetch lands.
+/// A demand L1 miss at the L2 slice that serves it. Private and shared L2
+/// differ only in how this record is built; every later step takes it.
 #[derive(Clone, Copy, Debug)]
-struct PfWaiter {
-    thread: usize,
-    /// Shared-L2 only: the requester the home bank forwards the line to.
-    final_dst: Option<NodeId>,
-    req: ReqTag,
+struct Demand {
+    waiter: Waiter,
+    /// The serving slice: the requester's own for private L2, the line's
+    /// home bank for shared L2.
+    slice: NodeId,
+    paddr: u64,
+    l2_line: u64,
+    ref_id: u32,
+    /// Cycle the slice looks the line up; every later step starts here.
+    at: u64,
+    /// Cycle the thread has issued the access and may go on (MSHRs
+    /// permitting).
+    issued: u64,
 }
 
 /// Prefetch machinery: one engine per L2 slice plus the in-flight book.
@@ -104,7 +125,7 @@ struct PfState {
     /// In-flight prefetches per slice (bounds issue at `queue_cap`).
     inflight_count: Vec<u32>,
     /// Demands blocked on an in-flight prefetch, by token.
-    waiters: HashMap<u64, Vec<PfWaiter>>,
+    waiters: HashMap<u64, Vec<Waiter>>,
     summary: PrefetchSummary,
     /// Reusable candidate buffer for [`SlicePrefetcher::on_demand`].
     scratch: Vec<u64>,
@@ -452,57 +473,62 @@ impl Simulator {
         // data returns (or is dropped again on an L2 hit).
         let req = self.obs.begin_req(t1, node.0);
         let l2_line = paddr / self.config.l2.line_bytes;
-        match self.config.l2_mode {
-            L2Mode::Private => self.private_l2_access(
-                workload,
+        let (slice, forward, at, issued) = match self.config.l2_mode {
+            L2Mode::Private => {
+                let t2 = t1 + self.config.l2_latency;
+                (node, None, t2, t2)
+            }
+            // The request crosses the mesh to the line's home bank, and
+            // the thread goes on as soon as it has left.
+            L2Mode::Shared => {
+                let home = NodeId((l2_line % self.config.num_nodes() as u64) as u16);
+                let t2 = self.net.send_obs(
+                    node,
+                    home,
+                    self.config.control_bytes,
+                    TrafficClass::OnChip,
+                    t1,
+                    req,
+                    &self.obs,
+                );
+                (home, Some(node), t2 + self.config.l2_latency, t1)
+            }
+        };
+        let d = Demand {
+            waiter: Waiter {
                 thread,
-                node,
-                paddr,
-                l2_line,
-                t1,
-                access.write,
-                access.ref_id,
+                forward,
                 req,
-            ),
-            L2Mode::Shared => self.shared_l2_access(
-                workload,
-                thread,
-                node,
-                paddr,
-                l2_line,
-                t1,
-                access.write,
-                access.ref_id,
-                req,
-            ),
-        }
+            },
+            slice,
+            paddr,
+            l2_line,
+            ref_id: access.ref_id,
+            at,
+            issued,
+        };
+        self.l2_access(workload, &d, access.write);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn private_l2_access(
-        &mut self,
-        workload: &TraceWorkload,
-        thread: usize,
-        node: NodeId,
-        paddr: u64,
-        l2_line: u64,
-        t1: u64,
-        write: bool,
-        ref_id: u32,
-        req: ReqTag,
-    ) {
-        let t2 = t1 + self.config.l2_latency;
-        let res = self.l2[node.0 as usize].access_rw_obs(
-            l2_line,
-            write,
-            t2,
-            CacheTag::l2(node.0),
-            &self.obs,
-        );
-        self.pf_demand_result(node, res.prefetched_hit, res.evicted_prefetched);
-        if res.hit {
+    /// The single request path of a demand L1 miss, for both L2 modes:
+    /// slice lookup, victim handling, late join, controller choice, then
+    /// an on-chip forward (private L2 only) or an off-chip issue.
+    fn l2_access(&mut self, workload: &TraceWorkload, d: &Demand, write: bool) {
+        let s = d.slice.0;
+        let res =
+            self.l2[s as usize].access_rw_obs(d.l2_line, write, d.at, CacheTag::l2(s), &self.obs);
+        self.pf_demand_result(d.slice, res.prefetched_hit, res.evicted_prefetched);
+        if let Some(evicted) = res.evicted {
+            self.evict(d.slice, evicted, res.evicted_dirty, d.at);
+        }
+        let (outcome, miss) = if res.hit {
             self.l2_hits += 1;
-            self.obs.req_l2_hit(req, t2);
+            self.obs.req_l2_hit(d.waiter.req, d.at);
+            let remote = d.waiter.forward.is_some();
+            if remote {
+                let t = self.forward(d.slice, &d.waiter, self.config.l2.line_bytes as u32, d.at);
+                self.deliver_later(&d.waiter, t);
+            }
             // A hit on a prefetched line trains as "would have been
             // off-chip" so the predictor stays gated-open under the
             // prefetcher's own success.
@@ -511,295 +537,166 @@ impl Simulator {
             } else {
                 DemandOutcome::L2Hit
             };
-            self.pf_on_demand(node, ref_id, l2_line, outcome, t2);
-            self.after_access(workload, thread, t2, false);
-            return;
-        }
-        // The replaced line leaves this L2: tell its directory slice
-        // (fire-and-forget control message).
-        if let Some(evicted) = res.evicted {
-            self.dir.remove_sharer(evicted, node.0 as usize);
-            let ev_mc = self.mc_of_paddr(evicted * self.config.l2.line_bytes);
-            if self.config.writebacks && res.evicted_dirty {
-                // Dirty line travels to memory: a data message plus a DRAM
-                // write, neither of which blocks the thread. An outage
-                // re-homes the write; the directory slice stays put.
-                let ev_mc = self.live_mc(ev_mc, node, t2);
-                let dst = self.mc_node(ev_mc);
-                self.writebacks += 1;
-                self.obs.writeback(t2, node.0, ev_mc as u16);
-                let at = self.net.send_obs(
-                    node,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OffChip,
-                    t2,
-                    ReqTag::NONE,
-                    &self.obs,
-                );
-                self.enqueue_mem(
-                    evicted * self.config.l2.line_bytes,
-                    at,
-                    PendingMem {
-                        thread: usize::MAX,
-                        responder: dst,
-                        final_dst: None,
-                        mc: ev_mc,
-                        l2_line: evicted,
-                        writeback: true,
-                        prefetch: false,
-                        req: ReqTag::NONE,
-                    },
-                );
-            } else {
-                let dst = self.mc_node(ev_mc);
-                self.net.send_obs(
-                    node,
-                    dst,
-                    self.config.control_bytes,
-                    TrafficClass::OnChip,
-                    t2,
-                    ReqTag::NONE,
-                    &self.obs,
-                );
+            (outcome, remote)
+        } else if self.late_join(d) {
+            (DemandOutcome::PrefetchedHit, true)
+        } else {
+            let mc = self.demand_mc(d);
+            match self.nearest_sharer(d) {
+                Some(owner) => {
+                    self.serve_on_chip(d, mc, owner);
+                    (DemandOutcome::OnChip, true)
+                }
+                None => {
+                    self.issue_offchip(d, mc);
+                    (DemandOutcome::OffChip, true)
+                }
             }
-        }
-
-        // A prefetch for this very line is already in flight to this
-        // slice: join it instead of issuing a second memory request (the
-        // demand's `access_rw` just allocated the line, so the landing
-        // prefetch installs as a no-op). Counted as a *late* prefetch —
-        // the engine was right but not early enough.
-        if let Some(token) = self.pf_late_join(node, l2_line) {
-            let pf = self.pf.as_mut().expect("late join without prefetch state");
-            pf.waiters.entry(token).or_default().push(PfWaiter {
-                thread,
-                final_dst: None,
-                req,
-            });
-            self.pf_on_demand(node, ref_id, l2_line, DemandOutcome::PrefetchedHit, t2);
-            self.after_access(workload, thread, t2, true);
-            return;
-        }
-
-        let mc = if self.config.optimal {
-            self.mapping.nearest_mc(node).0 as usize
-        } else {
-            self.mc_of_paddr(paddr)
         };
-        let mc = self.live_mc(mc, node, t2);
-        let mc_node = self.mc_node(mc);
-        let sharers = self.dir.lookup_obs(l2_line, node.0 as usize, t2, &self.obs);
-        if let Some(&owner) = sharers
-            .iter()
-            .min_by_key(|&&s| self.config.mesh.hop_distance(node, NodeId(s as u16)))
-        {
-            // On-chip fulfilment: requester → directory → owner → requester.
-            self.cache_to_cache += 1;
-            self.obs.c2c(req, t2, node.0);
-            let owner = NodeId(owner as u16);
-            let t3 = self.net.send_obs(
-                node,
-                mc_node,
-                self.config.control_bytes,
-                TrafficClass::OnChip,
-                t2,
-                req,
-                &self.obs,
-            );
-            let t4 = self.net.send_obs(
-                mc_node,
-                owner,
-                self.config.control_bytes,
-                TrafficClass::OnChip,
-                t3,
-                req.phase(Phase::Forward),
-                &self.obs,
-            );
-            let t5 = t4 + self.config.l2_latency;
-            let t6 = self.net.send_obs(
-                owner,
-                node,
-                self.config.l2.line_bytes as u32,
-                TrafficClass::OnChip,
-                t5,
-                req.phase(Phase::Reply),
-                &self.obs,
-            );
-            self.dir.add_sharer(l2_line, node.0 as usize);
-            self.obs.retire(req, t6);
-            self.schedule(t6, EventKind::MissReturn { thread });
-            self.pf_on_demand(node, ref_id, l2_line, DemandOutcome::OnChip, t2);
-            self.after_access(workload, thread, t2, true);
-        } else {
-            // Off-chip: requester → MC (request), DRAM, MC → requester (data).
-            self.offchip += 1;
-            self.node_mc_requests[node.0 as usize][mc] += 1;
-            self.obs.offchip(req, t2, node.0, mc as u16);
-            let t3 = self.net.send_obs(
-                node,
-                mc_node,
-                self.config.control_bytes,
-                TrafficClass::OffChip,
-                t2,
-                req,
-                &self.obs,
-            );
+        self.pf_on_demand(d.slice, d.ref_id, d.l2_line, outcome, d.at);
+        self.after_access(workload, d.waiter.thread, d.issued, miss);
+    }
+
+    /// A demand fill at `slice` displaced `evicted`. A dirty victim travels
+    /// to memory when writebacks are modelled; otherwise a private slice
+    /// only tells the line's directory (a control message).
+    fn evict(&mut self, slice: NodeId, evicted: u64, dirty: bool, now: u64) {
+        let private = self.config.l2_mode == L2Mode::Private;
+        if private {
+            self.dir.remove_sharer(evicted, slice.0 as usize);
+        }
+        let paddr = evicted * self.config.l2.line_bytes;
+        let mc = self.mc_of_paddr(paddr);
+        if self.config.writebacks && dirty {
+            // A data message plus a DRAM write, neither of which blocks
+            // the thread. An outage re-homes the write; the directory
+            // slice stays put.
+            let mc = self.live_mc(mc, slice, now);
+            self.writebacks += 1;
+            self.obs.writeback(now, slice.0, mc as u16);
             self.enqueue_mem(
                 paddr,
-                t3,
+                now,
                 PendingMem {
-                    thread,
-                    responder: node,
-                    final_dst: None,
+                    slice,
                     mc,
-                    l2_line,
-                    writeback: false,
-                    prefetch: false,
-                    req,
+                    l2_line: evicted,
+                    purpose: Purpose::Writeback,
                 },
             );
-            self.pf_on_demand(node, ref_id, l2_line, DemandOutcome::OffChip, t2);
-            self.after_access(workload, thread, t2, true);
+        } else if private {
+            self.net.send_obs(
+                slice,
+                self.mc_node(mc),
+                self.config.control_bytes,
+                TrafficClass::OnChip,
+                now,
+                ReqTag::NONE,
+                &self.obs,
+            );
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn shared_l2_access(
-        &mut self,
-        workload: &TraceWorkload,
-        thread: usize,
-        node: NodeId,
-        paddr: u64,
-        l2_line: u64,
-        t1: u64,
-        write: bool,
-        ref_id: u32,
-        req: ReqTag,
-    ) {
-        let home = NodeId((l2_line % self.config.num_nodes() as u64) as u16);
-        let t2 = self.net.send_obs(
-            node,
-            home,
+    /// If a prefetch for the demand's line is already in flight to its
+    /// slice, the demand joins it instead of issuing a second memory
+    /// request (its `access_rw` just allocated the line, so the landing
+    /// prefetch installs as a no-op). Counted as a *late* prefetch — the
+    /// engine was right but not early enough.
+    fn late_join(&mut self, d: &Demand) -> bool {
+        let Some(pf) = self.pf.as_mut() else {
+            return false;
+        };
+        let Some(&token) = pf.inflight.get(&(d.slice.0, d.l2_line)) else {
+            return false;
+        };
+        pf.summary.late += 1;
+        pf.slices[d.slice.0 as usize].resolve(true);
+        pf.waiters.entry(token).or_default().push(d.waiter);
+        self.obs.prefetch(PfEvent::Late, d.slice.0, 1);
+        true
+    }
+
+    /// The controller a demand miss goes to: the line's interleaved owner,
+    /// or the slice's nearest controller under the optimal scheme,
+    /// re-homed around outages.
+    fn demand_mc(&mut self, d: &Demand) -> usize {
+        let mc = if self.config.optimal {
+            self.mapping.nearest_mc(d.slice).0 as usize
+        } else {
+            self.mc_of_paddr(d.paddr)
+        };
+        self.live_mc(mc, d.slice, d.at)
+    }
+
+    /// Private L2 only: the directory's nearest other holder of the line.
+    fn nearest_sharer(&mut self, d: &Demand) -> Option<NodeId> {
+        if self.config.l2_mode != L2Mode::Private {
+            return None;
+        }
+        let s = d.slice;
+        let sharers = self
+            .dir
+            .lookup_obs(d.l2_line, s.0 as usize, d.at, &self.obs);
+        sharers
+            .into_iter()
+            .map(|o| NodeId(o as u16))
+            .min_by_key(|&o| self.config.mesh.hop_distance(s, o))
+    }
+
+    /// On-chip fulfilment: requester → directory at `mc` → owner →
+    /// requester.
+    fn serve_on_chip(&mut self, d: &Demand, mc: usize, owner: NodeId) {
+        let req = d.waiter.req;
+        self.cache_to_cache += 1;
+        self.obs.c2c(req, d.at, d.slice.0);
+        let t3 = self.net.send_obs(
+            d.slice,
+            self.mc_node(mc),
             self.config.control_bytes,
             TrafficClass::OnChip,
-            t1,
+            d.at,
             req,
             &self.obs,
         );
-        let t3 = t2 + self.config.l2_latency;
-        let res = self.l2[home.0 as usize].access_rw_obs(
-            l2_line,
-            write,
-            t3,
-            CacheTag::l2(home.0),
-            &self.obs,
-        );
-        self.pf_demand_result(home, res.prefetched_hit, res.evicted_prefetched);
-        if self.config.writebacks && res.evicted_dirty {
-            if let Some(evicted) = res.evicted {
-                self.writebacks += 1;
-                let ev_mc = self.mc_of_paddr(evicted * self.config.l2.line_bytes);
-                let ev_mc = self.live_mc(ev_mc, home, t3);
-                let dst = self.mc_node(ev_mc);
-                self.obs.writeback(t3, home.0, ev_mc as u16);
-                let at = self.net.send_obs(
-                    home,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OffChip,
-                    t3,
-                    ReqTag::NONE,
-                    &self.obs,
-                );
-                self.enqueue_mem(
-                    evicted * self.config.l2.line_bytes,
-                    at,
-                    PendingMem {
-                        thread: usize::MAX,
-                        responder: dst,
-                        final_dst: None,
-                        mc: ev_mc,
-                        l2_line: evicted,
-                        writeback: true,
-                        prefetch: false,
-                        req: ReqTag::NONE,
-                    },
-                );
-            }
-        }
-        if res.hit {
-            self.l2_hits += 1;
-            self.obs.req_l2_hit(req, t3);
-            let t4 = self.net.send_obs(
-                home,
-                node,
-                self.config.l2.line_bytes as u32,
-                TrafficClass::OnChip,
-                t3,
-                req.phase(Phase::Reply),
-                &self.obs,
-            );
-            self.obs.retire(req, t4);
-            self.schedule(t4, EventKind::MissReturn { thread });
-            let outcome = if res.prefetched_hit {
-                DemandOutcome::PrefetchedHit
-            } else {
-                DemandOutcome::L2Hit
-            };
-            self.pf_on_demand(home, ref_id, l2_line, outcome, t3);
-            self.after_access(workload, thread, t1, true);
-            return;
-        }
-        // Same late-join rendezvous as the private path, at the home bank;
-        // the landing prefetch additionally forwards the line to the
-        // requester.
-        if let Some(token) = self.pf_late_join(home, l2_line) {
-            let pf = self.pf.as_mut().expect("late join without prefetch state");
-            pf.waiters.entry(token).or_default().push(PfWaiter {
-                thread,
-                final_dst: Some(node),
-                req,
-            });
-            self.pf_on_demand(home, ref_id, l2_line, DemandOutcome::PrefetchedHit, t3);
-            self.after_access(workload, thread, t1, true);
-            return;
-        }
-        let mc = if self.config.optimal {
-            self.mapping.nearest_mc(home).0 as usize
-        } else {
-            self.mc_of_paddr(paddr)
-        };
-        let mc = self.live_mc(mc, home, t3);
-        let mc_node = self.mc_node(mc);
-        self.offchip += 1;
-        self.node_mc_requests[home.0 as usize][mc] += 1;
-        self.obs.offchip(req, t3, home.0, mc as u16);
         let t4 = self.net.send_obs(
-            home,
-            mc_node,
+            self.mc_node(mc),
+            owner,
             self.config.control_bytes,
-            TrafficClass::OffChip,
+            TrafficClass::OnChip,
             t3,
-            req,
+            req.phase(Phase::Forward),
             &self.obs,
         );
+        let t5 = t4 + self.config.l2_latency;
+        let t6 = self.net.send_obs(
+            owner,
+            d.slice,
+            self.config.l2.line_bytes as u32,
+            TrafficClass::OnChip,
+            t5,
+            req.phase(Phase::Reply),
+            &self.obs,
+        );
+        self.dir.add_sharer(d.l2_line, d.slice.0 as usize);
+        self.deliver_later(&d.waiter, t6);
+    }
+
+    /// Off-chip issue: slice → controller, then DRAM; the reply walks back
+    /// when the controller completes the request.
+    fn issue_offchip(&mut self, d: &Demand, mc: usize) {
+        self.offchip += 1;
+        self.node_mc_requests[d.slice.0 as usize][mc] += 1;
+        self.obs.offchip(d.waiter.req, d.at, d.slice.0, mc as u16);
         self.enqueue_mem(
-            paddr,
-            t4,
+            d.paddr,
+            d.at,
             PendingMem {
-                thread,
-                responder: home,
-                final_dst: Some(node),
+                slice: d.slice,
                 mc,
-                l2_line,
-                writeback: false,
-                prefetch: false,
-                req,
+                l2_line: d.l2_line,
+                purpose: Purpose::Demand(d.waiter),
             },
         );
-        self.pf_on_demand(home, ref_id, l2_line, DemandOutcome::OffChip, t3);
-        self.after_access(workload, thread, t1, true);
     }
 
     /// A demand L2 access resolved against (possibly) prefetched state:
@@ -825,20 +722,6 @@ impl Simulator {
         if harmful {
             self.obs.prefetch(PfEvent::Harmful, slice.0, 1);
         }
-    }
-
-    /// If a prefetch for `l2_line` is in flight to `slice`, counts the
-    /// late join and returns its token for waiter registration.
-    fn pf_late_join(&mut self, slice: NodeId, l2_line: u64) -> Option<u64> {
-        let token = {
-            let pf = self.pf.as_mut()?;
-            let &token = pf.inflight.get(&(slice.0, l2_line))?;
-            pf.summary.late += 1;
-            pf.slices[slice.0 as usize].resolve(true);
-            token
-        };
-        self.obs.prefetch(PfEvent::Late, slice.0, 1);
-        Some(token)
     }
 
     /// Trains the slice prefetcher at `slice` on one demand access and
@@ -894,37 +777,18 @@ impl Simulator {
             return;
         }
         pf.summary.issued += 1;
-        let mc_node = self.mc_node(mc);
-        let at = self.net.send_obs(
-            slice,
-            mc_node,
-            self.config.control_bytes,
-            TrafficClass::OffChip,
+        let token = self.enqueue_mem(
+            paddr,
             now,
-            ReqTag::NONE,
-            &self.obs,
-        );
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(
-            token,
             PendingMem {
-                thread: usize::MAX,
-                responder: slice,
-                final_dst: None,
+                slice,
                 mc,
                 l2_line: line,
-                writeback: false,
-                prefetch: true,
-                req: ReqTag::NONE,
+                purpose: Purpose::Prefetch,
             },
         );
         pf.inflight.insert((slice.0, line), token);
         pf.inflight_count[node] += 1;
-        let local = self.mc_local_addr(paddr);
-        let done = self.mcs[mc].enqueue_class_obs(local, token, at, mc as u16, true, &self.obs);
-        self.schedule_completions(&done);
-        self.update_poll(mc);
     }
 
     /// Mirrors summary deltas from one trigger into the obs families, so
@@ -967,49 +831,27 @@ impl Simulator {
             .pf
             .take()
             .expect("prefetch completion without prefetch state");
-        let slice = ctx.responder;
+        let slice = ctx.slice;
         let node = slice.0 as usize;
         pf.inflight.remove(&(slice.0, ctx.l2_line));
         pf.inflight_count[node] -= 1;
         let waiters = pf.waiters.remove(&token).unwrap_or_default();
-        let mc_node = self.mc_node(ctx.mc);
         if dropped {
             pf.summary.dropped += 1;
             self.pf = Some(pf);
             self.obs.prefetch(PfEvent::Dropped, slice.0, 1);
-            // Waiting demands resume on a control-sized error reply along
-            // the normal response path; the line is not installed.
+            // Waiting demands resume on the error reply a dropped demand
+            // gets; the line is not installed.
             for w in waiters {
-                let t1 = self.net.send_obs(
-                    mc_node,
-                    slice,
-                    self.config.control_bytes,
-                    TrafficClass::OffChip,
-                    now,
-                    w.req.phase(Phase::Reply),
-                    &self.obs,
-                );
-                let t_end = match w.final_dst {
-                    Some(dst) => self.net.send_obs(
-                        slice,
-                        dst,
-                        self.config.control_bytes,
-                        TrafficClass::OnChip,
-                        t1,
-                        w.req.phase(Phase::Reply),
-                        &self.obs,
-                    ),
-                    None => t1,
-                };
-                self.obs.drop_req(w.req, t_end);
-                self.miss_return(workload, w.thread, t_end);
+                let t = self.reply_walk(ctx.mc, slice, &w, true, now);
+                self.deliver(workload, &w, t, true);
             }
             return;
         }
         // Data travels MC → slice; the install marks the line prefetched
         // so a later demand hit counts as useful.
         let t1 = self.net.send_obs(
-            mc_node,
+            self.mc_node(ctx.mc),
             slice,
             self.config.l2.line_bytes as u32,
             TrafficClass::OffChip,
@@ -1022,54 +864,59 @@ impl Simulator {
             pf.summary.harmful += 1;
             pf.slices[node].resolve(false);
         }
-        let evicted_prefetched = res.evicted_prefetched;
         self.pf = Some(pf);
-        if evicted_prefetched {
+        if res.evicted_prefetched {
             self.obs.prefetch(PfEvent::Harmful, slice.0, 1);
         }
-        if let Some(evicted) = res.evicted {
+        if self.config.l2_mode == L2Mode::Private {
             // The victim leaves the slice's directory view, but its
             // writeback is not modelled: speculation must never add
-            // demand memory traffic.
-            if self.config.l2_mode == L2Mode::Private {
+            // demand memory traffic. The slice now holds the line: make
+            // it discoverable for cache-to-cache forwarding, like any
+            // demand fill.
+            if let Some(evicted) = res.evicted {
                 self.dir.remove_sharer(evicted, node);
             }
-        }
-        if self.config.l2_mode == L2Mode::Private {
-            // The slice now holds the line: make it discoverable for
-            // cache-to-cache forwarding, like any demand fill.
             self.dir.add_sharer(ctx.l2_line, node);
         }
         for w in waiters {
-            let t_end = match w.final_dst {
-                Some(dst) => self.net.send_obs(
-                    slice,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OnChip,
-                    t1,
-                    w.req.phase(Phase::Reply),
-                    &self.obs,
-                ),
-                None => t1,
-            };
-            self.obs.retire(w.req, t_end);
-            self.miss_return(workload, w.thread, t_end);
+            let t = self.forward(slice, &w, self.config.l2.line_bytes as u32, t1);
+            self.deliver(workload, &w, t, false);
         }
     }
 
-    fn enqueue_mem(&mut self, paddr: u64, arrival: u64, ctx: PendingMem) {
+    /// Sends a request from its slice to its controller (a writeback
+    /// carries the line, anything else a control message) and hands it to
+    /// the controller on arrival, scheduling what that settles: any
+    /// completions and the controller's next poll. Every memory request
+    /// enters a controller here. Returns the request's token.
+    fn enqueue_mem(&mut self, paddr: u64, now: u64, ctx: PendingMem) -> u64 {
+        let (bytes, req) = match ctx.purpose {
+            Purpose::Demand(w) => (self.config.control_bytes, w.req),
+            Purpose::Writeback => (self.config.l2.line_bytes as u32, ReqTag::NONE),
+            Purpose::Prefetch => (self.config.control_bytes, ReqTag::NONE),
+        };
+        let mc = ctx.mc;
+        let arrival = self.net.send_obs(
+            ctx.slice,
+            self.mc_node(mc),
+            bytes,
+            TrafficClass::OffChip,
+            now,
+            req,
+            &self.obs,
+        );
         let token = self.next_token;
         self.next_token += 1;
-        let mc = ctx.mc;
-        if ctx.req.is_some() {
-            self.obs.bind_token(token, ctx.req);
-        }
+        self.obs.bind_token(token, req);
         self.pending.insert(token, ctx);
         let local = self.mc_local_addr(paddr);
-        let done = self.mcs[mc].enqueue_obs(local, token, arrival, mc as u16, &self.obs);
+        let prefetch = matches!(ctx.purpose, Purpose::Prefetch);
+        let done =
+            self.mcs[mc].enqueue_class_obs(local, token, arrival, mc as u16, prefetch, &self.obs);
         self.schedule_completions(&done);
         self.update_poll(mc);
+        token
     }
 
     fn schedule_completions(&mut self, done: &[Completion]) {
@@ -1108,83 +955,81 @@ impl Simulator {
             .pending
             .remove(&token)
             .expect("completion for unknown token");
-        if ctx.prefetch {
-            self.finish_prefetch(workload, ctx, token, now, dropped);
-            return;
-        }
-        if ctx.writeback {
+        match ctx.purpose {
+            Purpose::Prefetch => self.finish_prefetch(workload, ctx, token, now, dropped),
             // The line is in DRAM; nothing waits on it. A dropped
             // writeback simply never lands.
-            if dropped {
-                self.dropped += 1;
+            Purpose::Writeback => self.dropped += u64::from(dropped),
+            Purpose::Demand(w) => {
+                // A request dropped at the retry cap still gets a reply, so
+                // the waiting thread resumes; the line is NOT installed and
+                // no sharer is recorded — a later touch misses again and
+                // re-fetches.
+                self.dropped += u64::from(dropped);
+                let t = self.reply_walk(ctx.mc, ctx.slice, &w, dropped, now);
+                if !dropped && self.config.l2_mode == L2Mode::Private {
+                    // The requester's L2 now holds the line.
+                    self.dir.add_sharer(ctx.l2_line, ctx.slice.0 as usize);
+                }
+                self.deliver(workload, &w, t, dropped);
             }
-            let _ = now;
-            return;
         }
-        let mc_node = self.mc_node(ctx.mc);
-        if dropped {
-            // Retry cap exhausted: the controller abandons the request and
-            // a control-sized error reply walks the normal response path,
-            // so the waiting thread still resumes. The line is NOT
-            // installed and no sharer is recorded — a later touch misses
-            // again and re-fetches.
-            self.dropped += 1;
-            let t1 = self.net.send_obs(
-                mc_node,
-                ctx.responder,
-                self.config.control_bytes,
-                TrafficClass::OffChip,
-                now,
-                ctx.req.phase(Phase::Reply),
-                &self.obs,
-            );
-            let t_end = match ctx.final_dst {
-                Some(dst) => self.net.send_obs(
-                    ctx.responder,
-                    dst,
-                    self.config.control_bytes,
-                    TrafficClass::OnChip,
-                    t1,
-                    ctx.req.phase(Phase::Reply),
-                    &self.obs,
-                ),
-                None => t1,
-            };
-            self.obs.drop_req(ctx.req, t_end);
-            self.miss_return(workload, ctx.thread, t_end);
-            return;
-        }
-        let t1 = self.net.send_obs(
-            mc_node,
-            ctx.responder,
-            self.config.l2.line_bytes as u32,
+    }
+
+    /// The reply walk: controller `mc` → serving slice → (shared L2) the
+    /// requester. Carries the line, or for a dropped request a
+    /// control-sized error. Returns the cycle the requester has it.
+    fn reply_walk(&mut self, mc: usize, slice: NodeId, w: &Waiter, dropped: bool, now: u64) -> u64 {
+        let bytes = if dropped {
+            self.config.control_bytes
+        } else {
+            self.config.l2.line_bytes as u32
+        };
+        let t = self.net.send_obs(
+            self.mc_node(mc),
+            slice,
+            bytes,
             TrafficClass::OffChip,
             now,
-            ctx.req.phase(Phase::Reply),
+            w.req.phase(Phase::Reply),
             &self.obs,
         );
-        match ctx.final_dst {
-            // Shared L2: the home bank forwards the line to the requester.
-            Some(dst) => {
-                let t2 = self.net.send_obs(
-                    ctx.responder,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OnChip,
-                    t1,
-                    ctx.req.phase(Phase::Reply),
-                    &self.obs,
-                );
-                self.obs.retire(ctx.req, t2);
-                self.miss_return(workload, ctx.thread, t2);
-            }
-            // Private L2: the requester's L2 now holds the line.
-            None => {
-                self.dir.add_sharer(ctx.l2_line, ctx.responder.0 as usize);
-                self.obs.retire(ctx.req, t1);
-                self.miss_return(workload, ctx.thread, t1);
-            }
+        self.forward(slice, w, bytes, t)
+    }
+
+    /// Shared L2: the home bank sends `bytes` on to the requester. A
+    /// private slice is the requester, so nothing moves.
+    fn forward(&mut self, slice: NodeId, w: &Waiter, bytes: u32, now: u64) -> u64 {
+        match w.forward {
+            Some(dst) => self.net.send_obs(
+                slice,
+                dst,
+                bytes,
+                TrafficClass::OnChip,
+                now,
+                w.req.phase(Phase::Reply),
+                &self.obs,
+            ),
+            None => now,
         }
+    }
+
+    /// The line reaches the requester at `at`, still ahead of the event
+    /// being handled: close its request span and resume its thread then.
+    fn deliver_later(&mut self, w: &Waiter, at: u64) {
+        self.obs.retire(w.req, at);
+        self.schedule(at, EventKind::MissReturn { thread: w.thread });
+    }
+
+    /// The reply reached the waiting requester at `now`: close its request
+    /// span and resume its thread.
+    fn deliver(&mut self, workload: &TraceWorkload, w: &Waiter, now: u64, dropped: bool) {
+        if dropped {
+            self.obs.drop_req(w.req, now);
+        } else {
+            self.obs.retire(w.req, now);
+        }
+        self.miss_return(workload, w.thread, now);
     }
 
     /// The thread consumed one access at `now`. Misses occupy an MSHR; the
@@ -1882,22 +1727,18 @@ mod tests {
                 sim.pending.insert(
                     token,
                     PendingMem {
-                        thread: usize::MAX,
-                        responder: NodeId(0),
-                        final_dst: None,
+                        slice: NodeId(0),
                         mc: 0,
                         l2_line: 0,
-                        writeback: true,
-                        prefetch: false,
-                        req: ReqTag::NONE,
+                        purpose: Purpose::Writeback,
                     },
                 );
             };
             park(&mut sim, 0);
             park(&mut sim, 1);
-            let first = sim.mcs[0].enqueue_obs(0, 0, 10, 0, &sim.obs);
+            let first = sim.mcs[0].enqueue(0, 0, 10);
             assert_eq!(first.len(), 1, "idle bank finalizes the first arrival");
-            let second = sim.mcs[0].enqueue_obs(0, 1, 10, 0, &sim.obs);
+            let second = sim.mcs[0].enqueue(0, 1, 10);
             assert!(second.is_empty(), "busy bank must park the second arrival");
             sim.schedule_completions(&first);
             let stats = sim.run_core(&TraceWorkload::single("t", vec![]));
