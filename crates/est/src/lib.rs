@@ -50,7 +50,8 @@ pub use xval::{
     cross_validate, render_text, standard_configs, xval_json, XvalCell, XvalReport, KINDS,
 };
 
-use json::{esc, num};
+use hoploc_obs::json_string;
+use json::num;
 
 /// One prediction as a single-line JSON record — the `fidelity=est`
 /// payload hoploc-serve returns, field-compatible where the concepts
@@ -65,11 +66,11 @@ pub fn est_record_json(e: &AppEstimate) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\"app\": \"{}\", \"kind\": \"{}\", \"fidelity\": \"est\", \
+        "{{\"app\": {}, \"kind\": \"{}\", \"fidelity\": \"est\", \
          \"total_accesses\": {}, \"offchip_accesses\": {}, \"offchip_fraction\": {}, \
          \"avg_offchip_hops\": {}, \"queue_pressure\": {}, \"mc_shares\": [{}], \
          \"streaming\": {}, \"prefetchability\": {}}}",
-        esc(&e.app),
+        json_string(&e.app),
         hoploc_harness::kind_name(e.kind),
         e.total_accesses,
         e.predicted_offchip,

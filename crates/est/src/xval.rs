@@ -16,10 +16,11 @@ use std::time::Instant;
 use hoploc_harness::{kind_name, parallel_map, RunSpec, Suite};
 use hoploc_layout::{Granularity, L2Mode};
 use hoploc_noc::L2ToMcMapping;
+use hoploc_obs::json_string;
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind};
 
-use crate::json::{esc, num};
+use crate::json::num;
 use crate::model::{estimate_app, EstConfig};
 use crate::rank::spearman;
 
@@ -180,13 +181,13 @@ pub fn xval_json(r: &XvalReport) -> String {
     let mut out = String::from("{\n  \"cells\": [\n");
     for (i, c) in r.cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"kind\": \"{}\", \"config\": \"{}\", \
+            "    {{\"app\": {}, \"kind\": \"{}\", \"config\": {}, \
              \"est_offchip_fraction\": {}, \"sim_offchip_fraction\": {}, \
              \"est_hops\": {}, \"sim_hops\": {}, \
              \"est_queue_pressure\": {}, \"sim_queue_pressure\": {}}}{}\n",
-            esc(&c.app),
+            json_string(&c.app),
             kind_name(c.kind),
-            esc(&c.config),
+            json_string(&c.config),
             num(c.est_offchip_fraction),
             num(c.sim_offchip_fraction),
             num(c.est_hops),

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use hoploc_fault::{FaultPlan, FaultTopo};
 use hoploc_noc::{L2ToMcMapping, McId};
-use hoploc_obs::{ObsConfig, ObsReport};
+use hoploc_obs::{json_string, ObsConfig, ObsReport};
 use hoploc_sim::{AddressSpace, PagePolicy, RunStats, SimConfig, Simulator, TraceWorkload};
 use hoploc_workloads::{App, RunKind, TraceGen};
 
@@ -715,27 +715,6 @@ pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String
     out
 }
 
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,11 +818,6 @@ mod tests {
         assert!(j.contains("\"cache\""));
         assert!(j.trim_end().ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

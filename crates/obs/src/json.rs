@@ -1,5 +1,6 @@
-//! A minimal JSON parser (no dependencies) and the Chrome-trace schema
-//! validator built on it.
+//! A minimal JSON parser (no dependencies), the Chrome-trace schema
+//! validator built on it, and the string escaper every hand-rolled JSON
+//! emitter in the workspace shares.
 //!
 //! The parser exists so exports can be checked — by tests and by the
 //! `hoploc trace-validate` CLI used in CI — without adding a serde
@@ -7,6 +8,7 @@
 //! `\u` surrogate pairs (kept as-is), which our exporters never emit.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::str::Chars;
 
 /// A parsed JSON value.
@@ -81,6 +83,28 @@ impl Value {
 struct Parser<'a> {
     it: std::iter::Peekable<Chars<'a>>,
     pos: usize,
+}
+
+/// A JSON string literal, quotes included, with `"`, `\\` and control
+/// characters escaped.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Parse a JSON document. Returns a descriptive error with a character
@@ -316,6 +340,14 @@ pub fn validate_chrome_trace(src: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escapes_strings() {
+        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let tricky = "tab\t cr\r \u{1f} ünï";
+        assert_eq!(parse(&json_string(tricky)), Ok(Value::Str(tricky.into())));
+    }
 
     #[test]
     fn parses_nested_document() {

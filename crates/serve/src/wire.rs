@@ -18,7 +18,7 @@ use crate::job::{
 };
 use hoploc_fault::FaultPlan;
 use hoploc_harness::kind_name;
-use hoploc_obs::{parse_json, JsonValue};
+use hoploc_obs::{json_string, parse_json, JsonValue};
 use hoploc_sim::PrefetchMode;
 use std::fmt::Write as _;
 
@@ -147,27 +147,6 @@ pub enum Response {
         /// Parse/validation failure description.
         error: String,
     },
-}
-
-/// JSON string literal with escaping.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Encodes a job spec as the `"job"` object of a submit request. Faults

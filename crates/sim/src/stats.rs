@@ -14,7 +14,11 @@ use hoploc_prefetch::PrefetchSummary;
 pub struct RunStats {
     /// Execution time: the cycle at which the last thread finished.
     pub exec_cycles: u64,
-    /// Dynamic data accesses issued (loads + stores).
+    /// Dynamic data accesses issued (loads + stores). Each ends in exactly
+    /// one place, so `l1_hits + l2_hits + cache_to_cache +
+    /// offchip_accesses + prefetch.late == total_accesses`: a demand miss
+    /// that joins an in-flight prefetch is counted only in
+    /// `prefetch.late`.
     pub total_accesses: u64,
     /// L1 hits.
     pub l1_hits: u64,

@@ -1,9 +1,13 @@
 //! Property-based tests of the OS layer and the simulator's conservation
 //! invariants.
 
+use hoploc_layout::L2Mode;
 use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh, NodeId};
 use hoploc_ptest::run_cases;
-use hoploc_sim::{Access, Os, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
+use hoploc_sim::{
+    Access, Os, PagePolicy, PrefetchConfig, PrefetchMode, SimConfig, Simulator, ThreadTrace,
+    TraceWorkload,
+};
 
 fn mapping() -> L2ToMcMapping {
     L2ToMcMapping::nearest_cluster(Mesh::new(8, 8), &McPlacement::Corners)
@@ -59,17 +63,32 @@ fn first_touch_lands_on_toucher_cluster() {
 
 #[test]
 fn simulation_conserves_accesses() {
+    const MODES: [PrefetchMode; 4] = [
+        PrefetchMode::Off,
+        PrefetchMode::Stride,
+        PrefetchMode::Stream,
+        PrefetchMode::Gated,
+    ];
+    let mut late = 0;
     run_cases("simulation_conserves_accesses", 32, |rng| {
         let n_streams = rng.usize_in(1..6);
         let threads: Vec<ThreadTrace> = (0..n_streams)
             .map(|_| {
                 let node = rng.u16_in(0..64);
                 let n_accs = rng.usize_in(1..40);
+                // Half the threads stream through consecutive lines, so
+                // the prefetchers have something to lock on to.
+                let base = rng.u64_in(0..1 << 20);
+                let stride = if rng.flip() { 256 } else { 0 };
                 ThreadTrace::new(
                     NodeId(node),
-                    (0..n_accs)
-                        .map(|_| Access {
-                            vaddr: rng.u64_in(0..1 << 20),
+                    (0..n_accs as u64)
+                        .map(|k| Access {
+                            vaddr: if stride > 0 {
+                                base + k * stride
+                            } else {
+                                rng.u64_in(0..1 << 20)
+                            },
                             write: false,
                             gap: rng.u32_in(0..10),
                             ref_id: 0,
@@ -80,20 +99,36 @@ fn simulation_conserves_accesses() {
             .collect();
         let total: u64 = threads.iter().map(|t| t.accesses.len() as u64).sum();
         let w = TraceWorkload::single("prop", threads);
-        let cfg = SimConfig::scaled();
+        let cfg = SimConfig {
+            l2_mode: if rng.flip() {
+                L2Mode::Shared
+            } else {
+                L2Mode::Private
+            },
+            prefetch: PrefetchConfig::with_mode(MODES[rng.usize_in(0..MODES.len())]),
+            mlp: rng.u32_in(1..5),
+            ..SimConfig::scaled()
+        };
         let stats = Simulator::new(cfg, mapping(), PagePolicy::Interleaved).run(&w);
         assert_eq!(stats.total_accesses, total);
         // Access-path accounting: every access is an L1 hit, an L2-level
-        // hit, a cache-to-cache transfer, or an off-chip fetch.
+        // hit, a cache-to-cache transfer, an off-chip fetch, or a late
+        // join on an in-flight prefetch.
         assert_eq!(
-            stats.l1_hits + stats.l2_hits + stats.cache_to_cache + stats.offchip_accesses,
+            stats.l1_hits
+                + stats.l2_hits
+                + stats.cache_to_cache
+                + stats.offchip_accesses
+                + stats.prefetch.late,
             total
         );
+        late += stats.prefetch.late;
         // Off-chip requests recorded per (node, MC) must total the count.
         let matrix: u64 = stats.node_mc_requests.iter().flatten().sum();
         assert_eq!(matrix, stats.offchip_accesses);
         assert!(stats.exec_cycles > 0 || total == 0);
     });
+    assert!(late > 0, "no case joined an in-flight prefetch");
 }
 
 #[test]
