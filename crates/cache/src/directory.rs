@@ -10,6 +10,30 @@
 use hoploc_obs::Sink;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for line-address keys: one folded 64×64→128 multiply. Every
+/// input bit reaches both the low bits (bucket index) and the high bits
+/// (control tag), so power-of-two line strides spread like any others.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = (n ^ self.0) as u128 * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Sharer tracking for private L2 lines, keyed by line address.
 ///
@@ -28,7 +52,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    entries: HashMap<u64, u128>,
+    entries: HashMap<u64, u128, BuildHasherDefault<LineHasher>>,
     /// Lookups that found at least one sharer (on-chip fulfilment).
     pub on_chip_hits: u64,
     /// Lookups that found no sharer (off-chip fulfilment).
@@ -63,12 +87,21 @@ impl Directory {
         }
     }
 
+    /// The nodes in a sharer bitmask, in ascending order.
+    pub fn nodes(mask: u128) -> impl Iterator<Item = usize> {
+        let mut rest = mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let n = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                n
+            })
+        })
+    }
+
     /// The nodes currently holding `line`, in ascending order.
     pub fn sharers(&self, line: u64) -> Vec<usize> {
-        let Some(&mask) = self.entries.get(&line) else {
-            return Vec::new();
-        };
-        (0..128).filter(|&n| mask & (1u128 << n) != 0).collect()
+        Self::nodes(self.entries.get(&line).copied().unwrap_or(0)).collect()
     }
 
     /// Whether any node holds `line`.
@@ -76,30 +109,32 @@ impl Directory {
         self.entries.get(&line).copied().unwrap_or(0) != 0
     }
 
-    /// Performs a lookup on behalf of `requester`: returns a sharer other
-    /// than the requester (the caller picks among them by distance), and
-    /// updates the on-chip / off-chip lookup counters.
+    /// Performs a lookup on behalf of `requester`: returns the sharers
+    /// other than the requester in ascending order (the caller picks among
+    /// them by distance), and updates the on-chip / off-chip lookup
+    /// counters.
     pub fn lookup(&mut self, line: u64, requester: usize) -> Vec<usize> {
-        let sharers: Vec<usize> = self
-            .sharers(line)
-            .into_iter()
-            .filter(|&n| n != requester)
-            .collect();
-        if sharers.is_empty() {
+        Self::nodes(self.lookup_obs(line, requester, 0, &Sink::disabled())).collect()
+    }
+
+    /// Like [`lookup`](Self::lookup), but returns the sharers as a bitmask
+    /// (bit `n` set when node `n` holds the line; the requester's bit is
+    /// always clear) and additionally mirrors the forward/off-chip outcome
+    /// into `sink`. `ts` is the lookup's sim-cycle time.
+    pub fn lookup_obs(&mut self, line: u64, requester: usize, ts: u64, sink: &Sink) -> u128 {
+        let own = if requester < 128 {
+            1u128 << requester
+        } else {
+            0
+        };
+        let mask = self.entries.get(&line).copied().unwrap_or(0) & !own;
+        if mask == 0 {
             self.off_chip_misses += 1;
         } else {
             self.on_chip_hits += 1;
         }
-        sharers
-    }
-
-    /// Like [`lookup`](Self::lookup), additionally mirroring the
-    /// forward/off-chip outcome into `sink`. `ts` is the lookup's sim-cycle
-    /// time.
-    pub fn lookup_obs(&mut self, line: u64, requester: usize, ts: u64, sink: &Sink) -> Vec<usize> {
-        let sharers = self.lookup(line, requester);
-        sink.dir_lookup(ts, requester as u16, !sharers.is_empty());
-        sharers
+        sink.dir_lookup(ts, requester as u16, mask != 0);
+        mask
     }
 
     /// Number of tracked lines.

@@ -121,17 +121,43 @@ impl CacheStats {
     }
 }
 
+/// Way flag: the way holds a line. Validity is a flag of its own, never a
+/// sentinel tag, so every `u64` is a legal line address.
+const VALID: u8 = 1;
+/// Way flag: the line was written since it was filled.
+const DIRTY: u8 = 2;
+/// Way flag: installed by a prefetch and not yet touched by a demand access.
+const PREFETCHED: u8 = 4;
+/// A way's state besides its tag: its neighbours on its set's circular
+/// recency list (flat way indices; `next` runs from most to least
+/// recent and wraps from the tail back to the head) and its flags.
 #[derive(Clone, Copy, Debug)]
 struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_used: u64,
-    /// Installed by a prefetch and not yet touched by a demand access.
-    prefetched: bool,
+    prev: u32,
+    next: u32,
+    flags: u8,
+}
+
+/// A set's circular recency list: its most recent way (a flat index; the
+/// least recent is `ways[head].prev`), and how many of its ways (the
+/// first `filled`) have ever held a line. `head` is meaningless while
+/// `filled` is 0.
+#[derive(Clone, Copy, Debug)]
+struct Set {
+    head: u32,
+    filled: u32,
 }
 
 /// A tag-only set-associative LRU cache.
+///
+/// Ways live in flat arrays indexed `set * ways + way`: the tags, scanned
+/// on every lookup, apart from the per-way links and flags. Each set
+/// threads its filled ways on an intrusive circular doubly-linked
+/// recency list, so a hit, a fill and an eviction are O(1) apart from the
+/// tag scan; evicting the least recent line only rotates the list. A miss
+/// fills the set's next never-used way, else its tail. An invalidated way
+/// moves to the tail, so a list always reads valid lines in recency order
+/// followed by reusable invalid ways.
 ///
 /// # Examples
 ///
@@ -145,8 +171,9 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
-    clock: u64,
+    tags: Vec<u64>,
+    ways: Vec<Way>,
+    sets: Vec<Set>,
     stats: CacheStats,
 }
 
@@ -156,25 +183,22 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`CacheConfig::num_sets`]).
+    /// [`CacheConfig::num_sets`]) or holds `2^32` lines or more.
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        let n = num_sets * config.ways;
+        assert!(u32::try_from(n).is_ok(), "at most 2^32 - 1 lines");
+        let way = Way {
+            prev: 0,
+            next: 0,
+            flags: 0,
+        };
+        let set = Set { head: 0, filled: 0 };
         Self {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        last_used: 0,
-                        prefetched: false
-                    };
-                    config.ways
-                ];
-                num_sets
-            ],
-            clock: 0,
+            tags: vec![0; n],
+            ways: vec![way; n],
+            sets: vec![set; num_sets],
             stats: CacheStats::default(),
         }
     }
@@ -197,7 +221,94 @@ impl SetAssocCache {
     /// exhibits.
     fn set_index(&self, line: u64) -> usize {
         let n = self.sets.len() as u64;
-        ((line ^ (line >> 7) ^ (line >> 14)) % n) as usize
+        let h = line ^ (line >> 7) ^ (line >> 14);
+        // Same as `h % n`; every Table 1 geometry has a power-of-two set
+        // count, which skips the division.
+        if n.is_power_of_two() {
+            (h & (n - 1)) as usize
+        } else {
+            (h % n) as usize
+        }
+    }
+
+    /// The flat index of the way of `set` holding `line`, if resident.
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        let base = set * self.config.ways;
+        let live = &self.tags[base..base + self.sets[set].filled as usize];
+        let mut from = 0;
+        while let Some(w) = live[from..].iter().position(|&t| t == line) {
+            let i = base + from + w;
+            if self.ways[i].flags & VALID != 0 {
+                return Some(i);
+            }
+            // A stale tag left by an invalidation; keep scanning.
+            from += w + 1;
+        }
+        None
+    }
+
+    /// Detaches way `i` from a list that holds at least one other way.
+    fn unlink(&mut self, i: usize) {
+        let Way { prev, next, .. } = self.ways[i];
+        self.ways[prev as usize].next = next;
+        self.ways[next as usize].prev = prev;
+    }
+
+    /// Links detached way `i` in just before `at`: as the new tail of the
+    /// list headed by `at`.
+    fn link_before(&mut self, i: usize, at: usize) {
+        let prev = self.ways[at].prev;
+        self.ways[i].prev = prev;
+        self.ways[i].next = at as u32;
+        self.ways[prev as usize].next = i as u32;
+        self.ways[at].prev = i as u32;
+    }
+
+    /// Makes filled way `i` its set's most recent.
+    fn touch(&mut self, set: usize, i: usize) {
+        let head = self.sets[set].head as usize;
+        if i == head {
+            return;
+        }
+        // The tail becomes the head by rotating the ring; any other way
+        // moves in just before the head first.
+        if i != self.ways[head].prev as usize {
+            self.unlink(i);
+            self.link_before(i, head);
+        }
+        self.sets[set].head = i as u32;
+    }
+
+    /// Fills `line` into `set` as its most recent way with `flags`: the
+    /// next never-used way, else the tail (an invalidated way or the LRU
+    /// line). Reports the displaced line, if any.
+    fn fill(&mut self, set: usize, line: u64, flags: u8) -> AccessResult {
+        let Set { head, filled } = self.sets[set];
+        let i = if (filled as usize) < self.config.ways {
+            let i = set * self.config.ways + filled as usize;
+            if filled == 0 {
+                self.ways[i].prev = i as u32;
+                self.ways[i].next = i as u32;
+            } else {
+                self.link_before(i, head as usize);
+            }
+            self.sets[set].filled += 1;
+            i
+        } else {
+            self.ways[head as usize].prev as usize
+        };
+        self.sets[set].head = i as u32;
+        let old = self.ways[i].flags;
+        let evicted = (old & VALID != 0).then_some(self.tags[i]);
+        self.tags[i] = line;
+        self.ways[i].flags = flags;
+        AccessResult {
+            hit: false,
+            evicted,
+            evicted_dirty: evicted.is_some() && old & DIRTY != 0,
+            prefetched_hit: false,
+            evicted_prefetched: evicted.is_some() && old & PREFETCHED != 0,
+        }
     }
 
     /// Accesses a line (by line address), allocating it on miss.
@@ -226,56 +337,23 @@ impl SetAssocCache {
     /// when `write` is set, and reporting the evicted line's dirtiness so
     /// the caller can issue a writeback.
     pub fn access_rw(&mut self, line: u64, write: bool) -> AccessResult {
-        self.clock += 1;
         self.stats.accesses += 1;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == line) {
-            w.last_used = self.clock;
-            w.dirty |= write;
-            let prefetched_hit = w.prefetched;
-            w.prefetched = false;
-            self.stats.hits += 1;
-            return AccessResult {
-                hit: true,
-                evicted: None,
-                evicted_dirty: false,
-                prefetched_hit,
-                evicted_prefetched: false,
-            };
-        }
-        // Miss: fill an invalid way, else evict LRU.
-        let victim = if let Some(i) = set.iter().position(|w| !w.valid) {
-            i
-        } else {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
+        let set = self.set_index(line);
+        let dirty = if write { DIRTY } else { 0 };
+        let Some(i) = self.find(set, line) else {
+            return self.fill(set, line, VALID | dirty);
         };
-        let (evicted, evicted_dirty, evicted_prefetched) = if set[victim].valid {
-            (
-                Some(set[victim].tag),
-                set[victim].dirty,
-                set[victim].prefetched,
-            )
-        } else {
-            (None, false, false)
-        };
-        set[victim] = Way {
-            tag: line,
-            valid: true,
-            dirty: write,
-            last_used: self.clock,
-            prefetched: false,
-        };
+        self.touch(set, i);
+        let f = &mut self.ways[i].flags;
+        let prefetched_hit = *f & PREFETCHED != 0;
+        *f = (*f | dirty) & !PREFETCHED;
+        self.stats.hits += 1;
         AccessResult {
-            hit: false,
-            evicted,
-            evicted_dirty,
-            prefetched_hit: false,
-            evicted_prefetched,
+            hit: true,
+            evicted: None,
+            evicted_dirty: false,
+            prefetched_hit,
+            evicted_prefetched: false,
         }
     }
 
@@ -287,10 +365,8 @@ impl SetAssocCache {
     /// evicts LRU, is marked [`prefetched`](AccessResult::prefetched_hit)
     /// until first demand touch, and any victim is reported as usual.
     pub fn install_prefetch(&mut self, line: u64) -> AccessResult {
-        self.clock += 1;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if set.iter().any(|w| w.valid && w.tag == line) {
+        let set = self.set_index(line);
+        if self.find(set, line).is_some() {
             return AccessResult {
                 hit: true,
                 evicted: None,
@@ -299,57 +375,32 @@ impl SetAssocCache {
                 evicted_prefetched: false,
             };
         }
-        let victim = if let Some(i) = set.iter().position(|w| !w.valid) {
-            i
-        } else {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        };
-        let (evicted, evicted_dirty, evicted_prefetched) = if set[victim].valid {
-            (
-                Some(set[victim].tag),
-                set[victim].dirty,
-                set[victim].prefetched,
-            )
-        } else {
-            (None, false, false)
-        };
-        set[victim] = Way {
-            tag: line,
-            valid: true,
-            dirty: false,
-            last_used: self.clock,
-            prefetched: true,
-        };
-        AccessResult {
-            hit: false,
-            evicted,
-            evicted_dirty,
-            prefetched_hit: false,
-            evicted_prefetched,
-        }
+        self.fill(set, line, VALID | PREFETCHED)
     }
 
     /// Checks residency without updating LRU state or statistics.
     pub fn contains(&self, line: u64) -> bool {
-        let set = &self.sets[self.set_index(line)];
-        set.iter().any(|w| w.valid && w.tag == line)
+        self.find(self.set_index(line), line).is_some()
     }
 
     /// Removes a line if present (coherence invalidation), returning
     /// whether it was resident.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == line) {
-            w.valid = false;
-            true
+        let set = self.set_index(line);
+        let Some(i) = self.find(set, line) else {
+            return false;
+        };
+        self.ways[i].flags = 0;
+        // Move the way to the tail: rotate it off the head, or re-link it
+        // just before the head.
+        let head = self.sets[set].head as usize;
+        if i == head {
+            self.sets[set].head = self.ways[i].next;
         } else {
-            false
+            self.unlink(i);
+            self.link_before(i, head);
         }
+        true
     }
 }
 

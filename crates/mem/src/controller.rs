@@ -275,6 +275,41 @@ struct Bank {
     open_row: Option<u64>,
     free_at: u64,
     queue: Vec<Pending>,
+    /// Earliest arrival in `queue` (`u64::MAX` when empty), kept current
+    /// by [`push`](Self::push) and [`take`](Self::take) so the scheduler
+    /// never rescans a queue just to find when it can next start.
+    min_arrival: u64,
+}
+
+impl Bank {
+    fn new() -> Self {
+        Self {
+            open_row: None,
+            free_at: 0,
+            queue: Vec::new(),
+            min_arrival: u64::MAX,
+        }
+    }
+
+    fn push(&mut self, p: Pending) {
+        self.min_arrival = self.min_arrival.min(p.arrival);
+        self.queue.push(p);
+    }
+
+    /// Removes queue entry `i`, rescanning for the earliest arrival only
+    /// when the removed request held it.
+    fn take(&mut self, i: usize) -> Pending {
+        let p = self.queue.swap_remove(i);
+        if p.arrival == self.min_arrival {
+            self.min_arrival = self
+                .queue
+                .iter()
+                .map(|q| q.arrival)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+        p
+    }
 }
 
 /// One memory controller.
@@ -317,13 +352,7 @@ impl MemoryController {
         );
         Self {
             config,
-            banks: (0..config.banks)
-                .map(|_| Bank {
-                    open_row: None,
-                    free_at: 0,
-                    queue: Vec::new(),
-                })
-                .collect(),
+            banks: (0..config.banks).map(|_| Bank::new()).collect(),
             channel_free_at: vec![0; config.channels],
             stats: McStats::default(),
             seq: 0,
@@ -439,7 +468,7 @@ impl MemoryController {
         let mut done = self.drain_until(now, mc, sink);
         let row = addr / self.config.row_bytes;
         let bank = (row % self.config.banks as u64) as usize;
-        self.banks[bank].queue.push(Pending {
+        self.banks[bank].push(Pending {
             token,
             row,
             arrival: now,
@@ -491,15 +520,7 @@ impl MemoryController {
         self.banks
             .iter()
             .filter(|b| !b.queue.is_empty())
-            .map(|b| {
-                let earliest = b
-                    .queue
-                    .iter()
-                    .map(|p| p.arrival)
-                    .min()
-                    .expect("invariant: this bank passed the non-empty filter above");
-                b.free_at.max(earliest)
-            })
+            .map(|b| b.free_at.max(b.min_arrival))
             .min()
     }
 
@@ -513,13 +534,7 @@ impl MemoryController {
                 if bank.queue.is_empty() {
                     break;
                 }
-                let earliest = bank
-                    .queue
-                    .iter()
-                    .map(|p| p.arrival)
-                    .min()
-                    .expect("invariant: the loop breaks before this when the queue is empty");
-                let start = bank.free_at.max(earliest);
+                let start = bank.free_at.max(bank.min_arrival);
                 if start >= horizon {
                     break;
                 }
@@ -538,7 +553,7 @@ impl MemoryController {
                         "invariant: start >= the queue's minimum arrival, so at least \
                          the earliest-arriving request passes the arrival filter",
                     );
-                let p = self.banks[b].queue.swap_remove(pick);
+                let p = self.banks[b].take(pick);
                 let hit = self.config.row_policy == RowPolicy::Open
                     && self.banks[b].open_row == Some(p.row);
                 let core_service = if hit {
@@ -596,7 +611,7 @@ impl MemoryController {
                         // Re-enter the queue as a fresh arrival after the
                         // backoff; a new seq makes it younger than every
                         // waiting request, so retries can't starve others.
-                        self.banks[b].queue.push(Pending {
+                        self.banks[b].push(Pending {
                             token: p.token,
                             row: p.row,
                             arrival: bank_done + backoff,
@@ -992,6 +1007,56 @@ mod tests {
         let (done2, stats2) = run();
         assert_eq!(done, done2);
         assert_eq!(stats, stats2);
+    }
+
+    /// Each bank's cached earliest arrival equals a scan of its queue, and
+    /// `earliest_pending_start` equals its brute-force value.
+    fn assert_cached_minima(m: &MemoryController, step: usize) {
+        for (i, b) in m.banks.iter().enumerate() {
+            let scan = b.queue.iter().map(|p| p.arrival).min();
+            assert_eq!(
+                b.min_arrival,
+                scan.unwrap_or(u64::MAX),
+                "bank {i} after call {step}"
+            );
+        }
+        let brute = m
+            .banks
+            .iter()
+            .flat_map(|b| b.queue.iter().map(|p| b.free_at.max(p.arrival)))
+            .min();
+        assert_eq!(m.earliest_pending_start(), brute, "after call {step}");
+    }
+
+    #[test]
+    fn cached_bank_minimum_tracks_the_queue() {
+        let mut retried = 0;
+        hoploc_ptest::run_cases("cached_bank_minimum_tracks_the_queue", 32, |rng| {
+            let sink = Sink::disabled();
+            let mut m = mc();
+            // One attempt in three fails: retries re-enter their queues
+            // with later arrivals, behind requests that arrived meanwhile.
+            m.set_faults(always_faulty(3, RetryPolicy::default()));
+            let mut now = 0;
+            let mut token = 0;
+            for step in 0..rng.usize_in(1..400) {
+                now += rng.u64_below(40);
+                if rng.u64_below(4) == 0 {
+                    m.poll_obs(now, 0, &sink);
+                } else {
+                    let addr = rng.u64_below(24) * 4096 + rng.u64_below(64) * 64;
+                    let prefetch = rng.u64_below(4) == 0;
+                    m.enqueue_class_obs(addr, token, now, 0, prefetch, &sink);
+                    token += 1;
+                }
+                assert_cached_minima(&m, step);
+            }
+            m.flush();
+            assert_cached_minima(&m, usize::MAX);
+            assert_eq!(m.earliest_pending_start(), None);
+            retried += m.stats().retries;
+        });
+        assert!(retried > 0, "the fault plan must exercise retries");
     }
 
     #[test]

@@ -286,8 +286,9 @@ impl Network {
     /// Sends a message and returns its arrival cycle at `dst`.
     ///
     /// A message of `bytes` payload departs `src` at cycle `now`, traverses
-    /// the XY route, and serializes on each directed link. Sending to self
-    /// arrives immediately at `now`.
+    /// the configured dimension-ordered route ([`Mesh::xy_route`] or
+    /// [`Mesh::yx_route`]), and serializes on each directed link. Sending
+    /// to self arrives immediately at `now`.
     pub fn send(
         &mut self,
         src: NodeId,
@@ -315,44 +316,27 @@ impl Network {
         tag: ReqTag,
         sink: &Sink,
     ) -> u64 {
-        let hops = self.mesh.hop_distance(src, dst) as usize;
+        let (sx, sy) = self.mesh.coords(src);
+        let (dx, dy) = self.mesh.coords(dst);
+        let (nx, ny) = (sx.abs_diff(dx), sy.abs_diff(dy));
+        let hops = (nx + ny) as usize;
         let flits = self.flits(bytes);
+        // Walk the dimension-ordered route arithmetically: each leg is a
+        // run of hops in one direction, stepping the node id by ±1 (X) or
+        // ±width (Y); the link leaving `node` is `node*4 + dir`.
+        let w = self.mesh.width() as isize;
+        let x_leg = (if dx > sx { (EAST, 1) } else { (WEST, -1) }, nx);
+        let y_leg = (if dy > sy { (SOUTH, w) } else { (NORTH, -w) }, ny);
+        let legs = match self.config.routing {
+            Routing::XY => [x_leg, y_leg],
+            Routing::YX => [y_leg, x_leg],
+        };
         let mut t = now;
-        if hops > 0 {
-            let route = match self.config.routing {
-                Routing::XY => self.mesh.xy_route(src, dst),
-                Routing::YX => self.mesh.yx_route(src, dst),
-            };
-            let mut from = src;
-            for &next in &route {
-                let link = self.link_id(from, next);
-                self.flit_cycles[link] += flits;
-                let depart = if self.config.contention {
-                    t.max(self.free_at[link])
-                } else {
-                    t
-                };
-                // A fault window active at departure slows this traversal
-                // and (under contention) occupies the link for the extra
-                // cycles, so faults back-pressure later traffic too.
-                let extra = if self.faults.is_empty() {
-                    0
-                } else {
-                    self.fault_extra(link, depart)
-                };
-                if self.config.contention {
-                    self.free_at[link] = depart + flits + extra;
-                }
-                sink.hop(link as u32, depart, depart - t, flits, tag);
-                if extra > 0 {
-                    self.stats.fault_hops += 1;
-                    self.stats.fault_cycles += extra;
-                    sink.link_fault(link as u32, depart, extra, tag);
-                }
-                // Wire + downstream router pipeline; the final hop still
-                // pays the router to reach the ejection port.
-                t = depart + extra + self.config.hop_cycles + self.config.router_cycles;
-                from = next;
+        let mut node = src.0 as usize;
+        for ((dir, step), n) in legs {
+            for _ in 0..n {
+                t = self.hop(node * 4 + dir, t, flits, tag, sink);
+                node = node.wrapping_add_signed(step);
             }
         }
         let stats = match class {
@@ -369,6 +353,38 @@ impl Network {
         };
         sink.net_msg(obs_class, hops, t - now, now);
         t
+    }
+
+    /// Carries `flits` over directed `link`, reaching its entry at cycle
+    /// `t`; returns the cycle the message reaches the next router's
+    /// output.
+    fn hop(&mut self, link: usize, t: u64, flits: u64, tag: ReqTag, sink: &Sink) -> u64 {
+        self.flit_cycles[link] += flits;
+        let depart = if self.config.contention {
+            t.max(self.free_at[link])
+        } else {
+            t
+        };
+        // A fault window active at departure slows this traversal
+        // and (under contention) occupies the link for the extra
+        // cycles, so faults back-pressure later traffic too.
+        let extra = if self.faults.is_empty() {
+            0
+        } else {
+            self.fault_extra(link, depart)
+        };
+        if self.config.contention {
+            self.free_at[link] = depart + flits + extra;
+        }
+        sink.hop(link as u32, depart, depart - t, flits, tag);
+        if extra > 0 {
+            self.stats.fault_hops += 1;
+            self.stats.fault_cycles += extra;
+            sink.link_fault(link as u32, depart, extra, tag);
+        }
+        // Wire + downstream router pipeline; the final hop still
+        // pays the router to reach the ejection port.
+        depart + extra + self.config.hop_cycles + self.config.router_cycles
     }
 
     /// Utilization of every directed link over `elapsed` cycles: the
@@ -401,23 +417,6 @@ impl Network {
     pub fn uncontended_latency(&self, src: NodeId, dst: NodeId) -> u64 {
         let hops = self.mesh.hop_distance(src, dst) as u64;
         hops * (self.config.hop_cycles + self.config.router_cycles)
-    }
-
-    fn link_id(&self, from: NodeId, to: NodeId) -> usize {
-        let (fx, fy) = self.mesh.coords(from);
-        let (tx, ty) = self.mesh.coords(to);
-        let dir = if tx == fx + 1 && ty == fy {
-            EAST
-        } else if fx == tx + 1 && ty == fy {
-            WEST
-        } else if tx == fx && ty == fy + 1 {
-            SOUTH
-        } else if tx == fx && fy == ty + 1 {
-            NORTH
-        } else {
-            panic!("link between non-adjacent nodes {from} -> {to}");
-        };
-        from.0 as usize * 4 + dir
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property-based tests of mesh geometry and the contention model.
 
-use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh, Network, NocConfig, NodeId, TrafficClass};
+use hoploc_noc::{
+    L2ToMcMapping, McPlacement, Mesh, Network, NocConfig, NodeId, Routing, TrafficClass,
+};
 use hoploc_ptest::run_cases;
 
 #[test]
@@ -111,4 +113,58 @@ fn every_node_belongs_to_exactly_one_cluster() {
         assert!((c.0 as usize) < mapping.num_clusters());
         assert!(!mapping.cluster_mcs(c).is_empty());
     });
+}
+
+/// The directed link id (`node * 4 + direction`, directions E, W, N, S)
+/// of the hop between two adjacent nodes, derived from coordinates.
+fn link_between(mesh: &Mesh, from: NodeId, to: NodeId) -> usize {
+    let (fx, fy) = mesh.coords(from);
+    let (tx, ty) = mesh.coords(to);
+    let dir = match (tx as i32 - fx as i32, ty as i32 - fy as i32) {
+        (1, 0) => 0,
+        (-1, 0) => 1,
+        (0, -1) => 2,
+        (0, 1) => 3,
+        step => panic!("{from} -> {to} is not one hop ({step:?})"),
+    };
+    from.0 as usize * 4 + dir
+}
+
+/// `send` walks exactly the links of the specification routes
+/// ([`Mesh::xy_route`] / [`Mesh::yx_route`]) and, on an idle network,
+/// arrives after exactly the uncontended latency.
+#[test]
+fn send_loads_exactly_the_specified_route() {
+    for mesh in [Mesh::new(8, 8), Mesh::new(3, 5)] {
+        for routing in [Routing::XY, Routing::YX] {
+            let n = mesh.num_nodes() as u16;
+            for (src, dst) in (0..n).flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b)))) {
+                let config = NocConfig {
+                    routing,
+                    ..NocConfig::default()
+                };
+                let mut net = Network::new(mesh, config);
+                let now = 100;
+                let arrival = net.send(src, dst, 64, TrafficClass::OffChip, now);
+                assert_eq!(arrival, now + net.uncontended_latency(src, dst));
+                let route = match routing {
+                    Routing::XY => mesh.xy_route(src, dst),
+                    Routing::YX => mesh.yx_route(src, dst),
+                };
+                let mut expect = vec![0.0; mesh.num_nodes() * 4];
+                let mut from = src;
+                for next in route {
+                    expect[link_between(&mesh, from, next)] = net.flits(64) as f64;
+                    from = next;
+                }
+                assert_eq!(
+                    net.link_utilization(1),
+                    expect,
+                    "{routing:?} {src} -> {dst} on {}x{}",
+                    mesh.width(),
+                    mesh.height()
+                );
+            }
+        }
+    }
 }

@@ -44,14 +44,21 @@ enum EventKind {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Event {
-    time: u64,
-    seq: u64,
+    /// `time << 64 | seq`: events fire in time order, ties in scheduling
+    /// order, with one integer comparison.
+    key: u128,
     kind: EventKind,
+}
+
+impl Event {
+    fn time(&self) -> u64 {
+        (self.key >> 64) as u64
+    }
 }
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -331,13 +338,14 @@ impl Simulator {
         }
 
         while let Some(Reverse(ev)) = self.heap.pop() {
+            let now = ev.time();
             match ev.kind {
-                EventKind::Issue { thread } => self.handle_issue(workload, thread, ev.time),
-                EventKind::MissReturn { thread } => self.miss_return(workload, thread, ev.time),
+                EventKind::Issue { thread } => self.handle_issue(workload, thread, now),
+                EventKind::MissReturn { thread } => self.miss_return(workload, thread, now),
                 EventKind::MemDone { token, dropped } => {
-                    self.handle_mem_done(workload, token, ev.time, dropped)
+                    self.handle_mem_done(workload, token, now, dropped)
                 }
-                EventKind::McPoll { mc } => self.handle_poll(mc, ev.time),
+                EventKind::McPoll { mc } => self.handle_poll(mc, now),
             }
             // Liveness backstop: if the heap drained while requests are
             // still pending (e.g. a poll raced a flush), force scheduling.
@@ -345,11 +353,11 @@ impl Simulator {
             // hole, so make it loud and countable instead of silent.
             if self.heap.is_empty() && !self.pending.is_empty() {
                 self.backstop_flushes += 1;
-                self.obs.backstop(ev.time, self.pending.len());
+                self.obs.backstop(now, self.pending.len());
                 eprintln!(
                     "warning[HL0900]: event heap drained at cycle {} with {} request(s) \
                      still in flight; force-flushing {} controller(s)",
-                    ev.time,
+                    now,
                     self.pending.len(),
                     self.mcs.len()
                 );
@@ -395,8 +403,7 @@ impl Simulator {
     fn schedule(&mut self, time: u64, kind: EventKind) {
         self.seq += 1;
         self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
+            key: (time as u128) << 64 | self.seq as u128,
             kind,
         }));
     }
@@ -637,8 +644,9 @@ impl Simulator {
         let sharers = self
             .dir
             .lookup_obs(d.l2_line, s.0 as usize, d.at, &self.obs);
-        sharers
-            .into_iter()
+        // Ascending node order: `min_by_key` keeps the first of equally
+        // near sharers, so ties go to the lowest node id.
+        Directory::nodes(sharers)
             .map(|o| NodeId(o as u16))
             .min_by_key(|&o| self.config.mesh.hop_distance(s, o))
     }
@@ -1184,6 +1192,43 @@ mod tests {
             stats.cache_to_cache > 0,
             "directory must forward some lines"
         );
+    }
+
+    #[test]
+    fn equidistant_sharers_forward_from_the_lowest_node() {
+        let cfg = small_config();
+        let m = mapping(&cfg);
+        let mut sim = Simulator::new(cfg, m, PagePolicy::Interleaved);
+        let line = 77;
+        // Nodes 4 and 6 flank requester 5 at one hop each; 15 is farther,
+        // and the requester's own bit must be ignored.
+        for node in [15, 6, 5, 4] {
+            sim.dir.add_sharer(line, node);
+        }
+        let d = Demand {
+            waiter: Waiter {
+                thread: 0,
+                forward: None,
+                req: ReqTag::NONE,
+            },
+            slice: NodeId(5),
+            paddr: line * sim.config.l2.line_bytes,
+            l2_line: line,
+            ref_id: 0,
+            at: 10,
+            issued: 10,
+        };
+        let owner = sim.nearest_sharer(&d).expect("three other sharers");
+        assert_eq!(owner, NodeId(4), "ties go to the lowest node id");
+        let mc = sim.demand_mc(&d);
+        sim.serve_on_chip(&d, mc, owner);
+        assert_eq!(sim.cache_to_cache, 1);
+        // The line travels 4 -> 5 on node 4's east link, never 6 -> 5 on
+        // node 6's west link.
+        let util = sim.net.link_utilization(1);
+        let flits = sim.net.flits(sim.config.l2.line_bytes as u32) as f64;
+        assert_eq!(util[4 * 4], flits);
+        assert_eq!(util[6 * 4 + 1], 0.0);
     }
 
     #[test]
